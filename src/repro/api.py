@@ -995,7 +995,9 @@ def query_window(run_dir: str, *, since: float = 0.0,
 
     ``window``/``step`` default to the store's recorded service
     defaults (7/7 for batch-study stores); results come from bounded
-    checkpoint-anchored replay, never a full-WAL scan.
+    checkpoint-anchored replay, never a full-WAL scan.  A query spanning
+    more windows than ``cache_frames`` raises
+    :class:`~repro.service.frontend.QueryTooLarge`.
     """
     from repro.service.frontend import QueryService
 

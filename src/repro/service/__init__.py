@@ -21,6 +21,7 @@ from repro.service.config import (
 from repro.service.daemon import CampaignDaemon
 from repro.service.frontend import (
     QueryService,
+    QueryTooLarge,
     ServiceServer,
     WindowFrameCache,
     query_server,
@@ -40,6 +41,7 @@ __all__ = [
     "service_config_from_document",
     "CampaignDaemon",
     "QueryService",
+    "QueryTooLarge",
     "ServiceServer",
     "WindowFrameCache",
     "query_server",

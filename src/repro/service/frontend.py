@@ -4,8 +4,8 @@
 ``api.query_window``) put between clients and a
 :class:`~repro.service.query.WindowedStudyReader`: it resolves
 day-denominated query specs against the store's recorded defaults,
-shares one reader (window builds are stateless, so concurrent queries
-never contend on fold state), and keeps an LRU of materialized window
+shares one reader (window builds are stateless; concurrent queries
+share only its horizon cursor, under a lock), and keeps an LRU of materialized window
 frames keyed by ``(anchor checkpoint, t0, t1)`` — the key a frame is
 *valid* under, since a window's content can only change if a better
 anchor appears, and anchors are immutable once cut.
@@ -28,16 +28,29 @@ import json
 import socket
 import socketserver
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.clock import DAY
 from repro.obs.metrics import current_registry
 from repro.service.config import is_service_document
-from repro.service.query import WindowedStudyReader
+from repro.service.query import WindowedStudyReader, window_count
 from repro.store.runstore import RunStore
 
-_EPS = 1e-9
+#: Latency samples :meth:`QueryService.stats` keeps (the most recent).
+LATENCY_SAMPLES = 4096
+
+#: Longest request line, newline included, the wire handler accepts.
+MAX_REQUEST_BYTES = 64 * 1024
+
+
+class QueryTooLarge(ValueError):
+    """A query spans more windows than the frame cache holds.
+
+    Its frames would evict each other before the query finished, so
+    every repeat would rebuild them all; it is refused before any
+    frame is built.
+    """
 
 
 def _percentile(samples: List[float], fraction: float) -> float:
@@ -122,7 +135,8 @@ class QueryService:
         #: Shared execution context — one pool (or one sequential
         #: context) across every concurrent query; surfaced in stats().
         self.ctx = ctx
-        self._latencies: List[float] = []
+        self._latencies: "deque[float]" = deque(maxlen=LATENCY_SAMPLES)
+        self._queries = 0
         self._lock = threading.Lock()
         metrics = current_registry()
         self._m_queries = metrics.counter("service_queries_total")
@@ -171,13 +185,20 @@ class QueryService:
         if step_days <= 0:
             raise ValueError(f"step={step_days}: must be positive days")
         horizon = self.reader.horizon()
-        windows = []
-        t0 = since_days * DAY
-        while t0 + window_days * DAY <= horizon + _EPS:
-            windows.append(self.frame_document(t0, t0 + window_days * DAY))
-            t0 += step_days * DAY
+        start, span, stride = since_days * DAY, window_days * DAY, step_days * DAY
+        count = window_count(start, span, stride, horizon)
+        if count > self.cache.capacity:
+            raise QueryTooLarge(
+                f"since={since_days}, window={window_days}, "
+                f"step={step_days}: {count} windows, more than the "
+                f"{self.cache.capacity} the frame cache holds; raise "
+                "step or since")
+        windows = [self.frame_document(start + k * stride,
+                                       start + k * stride + span)
+                   for k in range(count)]
         self._m_queries.inc()
         with self._lock:
+            self._queries += 1
             self._latencies.append(time.perf_counter() - began)
         return {
             "horizon": horizon / DAY,
@@ -190,9 +211,10 @@ class QueryService:
     def stats(self) -> Dict:
         """Service-side query statistics (wall-clock lives only here)."""
         with self._lock:
+            queries = self._queries
             latencies = list(self._latencies)
         return {
-            "queries": len(latencies),
+            "queries": queries,
             "latency_p50_ms": _percentile(latencies, 0.50) * 1e3,
             "latency_p99_ms": _percentile(latencies, 0.99) * 1e3,
             "cache": self.cache.stats(),
@@ -205,7 +227,16 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         server: "ServiceServer" = self.server.owner  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_REQUEST_BYTES:
+                # The rest of the line is never read: answer, then close.
+                self._reply({"ok": False, "error":
+                             f"request line exceeds {MAX_REQUEST_BYTES} "
+                             "bytes; closing the connection"})
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -215,10 +246,13 @@ class _Handler(socketserver.StreamRequestHandler):
             except Exception as error:  # noqa: BLE001 — wire boundary
                 response = {"ok": False, "error": f"{type(error).__name__}: "
                                                  f"{error}"}
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-            self.wfile.flush()
+            self._reply(response)
             if response.get("bye"):
                 return
+
+    def _reply(self, response: Dict) -> None:
+        self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
+        self.wfile.flush()
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):

@@ -27,6 +27,7 @@ fold), so one reader instance serves many concurrent queries.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
@@ -40,7 +41,7 @@ from repro.service.config import is_service_document
 from repro.store.checkpoint import list_checkpoints, load_checkpoint
 from repro.store.reader import CompactedBehindReader, IncrementalStudyReader
 from repro.store.runstore import RunStore
-from repro.store.wal import WalError, WalReader
+from repro.store.wal import WalError, WalPosition, WalReader
 
 #: Grab timestamps trail their admit time by at most this much
 #: (embedded-mode jitter), so a window anchor must sit at least this
@@ -54,6 +55,26 @@ _EPS = 1e-9
 GENESIS = "genesis"
 
 
+def window_count(since: float, window: float, step: float,
+                 horizon: float) -> int:
+    """How many complete windows ``[since + k*step, … + window)`` end
+    by ``horizon`` — computed, so a caller can size a query before
+    building any of its windows."""
+    def fits(k: int) -> bool:
+        return since + k * step + window <= horizon + _EPS
+
+    if not fits(0):
+        return 0
+    count = int((horizon + _EPS - window - since) // step) + 1
+    # Floor division can land one off where a window ends exactly at
+    # the horizon; the comparison the windows are built by decides.
+    if not fits(count - 1):
+        count -= 1
+    elif fits(count):
+        count += 1
+    return count
+
+
 @dataclass
 class WindowAnchor:
     """A replay starting point: WAL position + clock + denominators."""
@@ -63,6 +84,17 @@ class WindowAnchor:
     clock: float
     name: str
     targets: Dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _HorizonCursor:
+    """Where :meth:`WindowedStudyReader.horizon` stopped reading."""
+
+    anchor: str
+    seq: int
+    chain: int
+    clock: float
+    position: Optional[WalPosition] = None
 
 
 @dataclass
@@ -162,6 +194,9 @@ class WindowedStudyReader(IncrementalStudyReader):
         #: study stores always use "ntp").
         self.ntp_label = (document.get("campaign", {}).get("label", "ntp")
                           if is_service_document(document) else "ntp")
+        # Handler threads of ``repro serve`` call horizon() at once.
+        self._cursor: Optional[_HorizonCursor] = None
+        self._cursor_lock = threading.Lock()
         metrics = current_registry()
         self._m_replayed = metrics.counter("service_replay_records_total")
         self._m_windows = metrics.counter("service_windows_built_total")
@@ -215,20 +250,34 @@ class WindowedStudyReader(IncrementalStudyReader):
     def horizon(self) -> float:
         """Clock of the newest day-end mark (the complete-data frontier).
 
-        Bounded: replays only the tail past the latest checkpoint.
+        Equal to a replay of every record past the newest checkpoint,
+        but incremental: a cursor remembers where the previous call
+        stopped (seq, chain, clock and WAL position), so each call
+        parses only the records appended since.  A different newest
+        checkpoint restarts the cursor from that checkpoint.
         """
-        anchors = self.anchors()
-        start = anchors[-1] if anchors else WindowAnchor(
-            seq=0, chain=0, clock=float("-inf"), name=GENESIS)
-        self._check_compaction(start)
-        reader = WalReader(self.store.wal_dir, start_seq=start.seq + 1,
-                           chain=start.chain)
-        clock = start.clock if start.clock > float("-inf") else 0.0
-        replayed = 0
-        for record in reader.records():
-            replayed += 1
-            if record.get("t") == "mark":
-                clock = max(clock, record["clock"])
+        with self._cursor_lock:
+            anchors = self.anchors()
+            start = anchors[-1] if anchors else WindowAnchor(
+                seq=0, chain=0, clock=float("-inf"), name=GENESIS)
+            self._check_compaction(start)
+            cursor = self._cursor
+            if cursor is None or cursor.anchor != start.name:
+                cursor = _HorizonCursor(
+                    anchor=start.name, seq=start.seq, chain=start.chain,
+                    clock=start.clock if start.clock > float("-inf")
+                    else 0.0)
+            reader = WalReader(self.store.wal_dir, start_seq=cursor.seq + 1,
+                               chain=cursor.chain, position=cursor.position)
+            clock = cursor.clock
+            replayed = 0
+            for record in reader.records():
+                replayed += 1
+                if record.get("t") == "mark":
+                    clock = max(clock, record["clock"])
+            self._cursor = _HorizonCursor(
+                anchor=start.name, seq=reader.last_seq, chain=reader.chain,
+                clock=clock, position=reader.position)
         self._m_replayed.inc(replayed)
         self._m_horizons.inc()
         return clock
@@ -298,12 +347,8 @@ class WindowedStudyReader(IncrementalStudyReader):
             raise ValueError(f"step={step}: must be positive")
         if horizon is None:
             horizon = self.horizon()
-        frames = []
-        t0 = since
-        while t0 + window <= horizon + _EPS:
-            frames.append(self.window(t0, t0 + window))
-            t0 += step
-        return frames
+        return [self.window(since + k * step, since + k * step + window)
+                for k in range(window_count(since, window, step, horizon))]
 
 
 class WindowedAttributionReader:

@@ -30,6 +30,7 @@ from repro.store.runstore import Recovery, RunStore
 from repro.store.wal import (
     RecoveryError,
     WalError,
+    WalPosition,
     WalReader,
     WalWriter,
     chain_extend,
@@ -50,6 +51,7 @@ __all__ = [
     "RunStore",
     "StoreWriter",
     "WalError",
+    "WalPosition",
     "WalReader",
     "WalWriter",
     "chain_extend",

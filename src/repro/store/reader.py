@@ -19,12 +19,12 @@ compact`` is an explicit operator decision trading history for disk).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from repro.obs.metrics import current_registry
 from repro.scan.result import ScanResults
 from repro.store.runstore import RunStore
-from repro.store.wal import WalError, WalReader
+from repro.store.wal import WalError, WalPosition, WalReader
 
 PathLike = Union[str, Path]
 
@@ -52,6 +52,7 @@ class IncrementalStudyReader:
         self.marks = 0
         self.last_seq = store.meta.get("compacted_through", 0)
         self._chain = store.meta.get("chain_at_compaction", 0)
+        self._position: Optional[WalPosition] = None
         metrics = current_registry()
         self._m_read = metrics.counter("store_analyze_records_total")
         self._m_refreshes = metrics.counter("store_analyze_refreshes_total")
@@ -65,6 +66,10 @@ class IncrementalStudyReader:
 
     def refresh(self) -> int:
         """Fold records appended since the last call; returns how many.
+
+        Resumes from the WAL position where the previous refresh
+        stopped, so the already-folded part of the last segment is not
+        read again.
 
         Raises :class:`CompactedBehindReader` if the store was compacted
         past this reader's fold position since the last refresh (the
@@ -82,7 +87,7 @@ class IncrementalStudyReader:
                 f"{self.last_seq}; the records in between were deleted — "
                 "reopen with read_study() to analyze the surviving suffix")
         reader = WalReader(self.store.wal_dir, start_seq=self.last_seq + 1,
-                           chain=self._chain)
+                           chain=self._chain, position=self._position)
         folded = 0
         for record in reader.records():
             folded += 1
@@ -101,6 +106,7 @@ class IncrementalStudyReader:
                 self.sightings += 1
         self.last_seq = max(reader.last_seq, self.last_seq)
         self._chain = reader.chain
+        self._position = reader.position
         self._m_read.inc(folded)
         self._m_refreshes.inc()
         return folded

@@ -32,6 +32,7 @@ import json
 import os
 import zlib
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -255,26 +256,58 @@ class WalWriter:
 
 # -- reader ------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class WalPosition:
+    """Where a :class:`WalReader` stopped: just past record ``seq``.
+
+    ``offset`` is the byte offset in ``segment`` where that record's
+    JSON text ends (its newline, if written yet, follows) and ``line``
+    is its 1-based line number.  ``tail`` holds the record's exact
+    bytes: a reader resuming from the position compares them with the
+    file before it trusts ``offset``.
+    """
+
+    segment: str
+    offset: int
+    line: int
+    seq: int
+    tail: bytes
+
+
 class WalReader:
     """Reads records in sequence order, verifying CRCs and contiguity.
 
     After (or during) iteration, :attr:`last_seq`, :attr:`chain` and
-    :attr:`truncated_lines` describe what was read.  A torn tail — one
-    or more undecodable/mismatching lines at the *end of the last
-    segment*, the signature of a crash mid-write — is tolerated:
-    iteration stops at the last valid record (and the file is truncated
-    back to it when ``repair=True``).  Invalid data anywhere else is
+    :attr:`truncated_lines` describe what was read, and :attr:`position`
+    where it stopped.  A torn tail — one or more undecodable/mismatching
+    lines at the *end of the last segment*, the signature of a crash
+    mid-write — is tolerated: iteration stops at the last valid record
+    (and the file is truncated back to it when ``repair=True``).  Invalid data anywhere else is
     structural corruption and raises :class:`WalError`.
+
+    Given the :attr:`position` of an earlier reader (with that reader's
+    :attr:`last_seq` + 1 as ``start_seq`` and its :attr:`chain`), a
+    reader seeks past the records already read and parses only the bytes
+    that follow, with the same checks.  The position is used only when
+    its segment is still the one holding ``start_seq - 1`` and the
+    record's bytes still sit just before ``offset``; otherwise the
+    reader scans by sequence number as if it had no position.
     """
 
     def __init__(self, wal_dir: PathLike, *, start_seq: int = 1,
-                 chain: int = 0) -> None:
+                 chain: int = 0,
+                 position: Optional[WalPosition] = None) -> None:
         self.wal_dir = Path(wal_dir)
         self.start_seq = start_seq
         self.chain = chain
         self.last_seq = start_seq - 1
         self.truncated_lines = 0
         self.segments_read = 0
+        self._position = position
+        # (path, byte offset, first line number, split text) of the
+        # segment holding the last yielded record, and its line number.
+        self._stop_segment: Optional[Tuple[Path, int, int, List[str]]] = None
+        self._stop_line = 0
 
     @staticmethod
     def _parse(line: str) -> Optional[Dict]:
@@ -304,15 +337,70 @@ class WalReader:
             selected.insert(0, straddler)
         return selected
 
+    def _resume_text(self, selected: List[Path]) -> Optional[str]:
+        """The first segment's text past the given position, if confirmed.
+
+        ``None`` (scan by sequence number instead) unless the position
+        names the segment that straddles ``start_seq``, describes record
+        ``start_seq - 1``, and the file still holds that record's bytes
+        right before the offset, followed by a newline or nothing.
+        """
+        position = self._position
+        if (not selected or selected[0].name != position.segment
+                or position.seq != self.start_seq - 1):
+            return None
+        begin = position.offset - len(position.tail)
+        try:
+            with open(selected[0], "rb") as handle:
+                handle.seek(begin)
+                data = handle.read()
+        except FileNotFoundError:
+            return None  # compacted between listing and opening
+        rest = data[len(position.tail):]
+        if not data.startswith(position.tail) or rest[:1] not in (b"", b"\n"):
+            return None
+        return rest.decode("utf-8")
+
+    @property
+    def position(self) -> Optional[WalPosition]:
+        """Just past the last record yielded so far.
+
+        Before the first yield: just past record ``start_seq - 1`` if
+        the scan passed it, else the confirmed starting position (or
+        ``None`` when the reader had none or could not confirm it).
+        """
+        if self._stop_segment is None:
+            return self._position
+        path, offset, first_line, lines = self._stop_segment
+        end = self._stop_line - first_line + 1
+        offset += len("\n".join(lines[:end]).encode("utf-8"))
+        return WalPosition(segment=path.name, offset=offset,
+                           line=self._stop_line, seq=self.last_seq,
+                           tail=lines[end - 1].encode("utf-8"))
+
     def records(self, *, repair: bool = False) -> Iterator[Dict]:
         expected = self.start_seq
         selected = self._segments()
+        resumed = None
+        if self._position is not None:
+            if repair:
+                raise ValueError("repair=True needs a full scan: "
+                                 "construct the reader without a position")
+            resumed = self._resume_text(selected)
+            if resumed is None:
+                self._position = None
         for index, path in enumerate(selected):
             self.segments_read += 1
             last_segment = index == len(selected) - 1
-            lines = path.read_text(encoding="utf-8").split("\n")
-            lines = [(number, line) for number, line in enumerate(lines, 1)
-                     if line.strip()]
+            if index == 0 and resumed is not None:
+                offset, first_line = self._position.offset, self._position.line
+                raw = resumed.split("\n")
+            else:
+                offset, first_line = 0, 1
+                raw = path.read_text(encoding="utf-8").split("\n")
+            segment = (path, offset, first_line, raw)
+            lines = [(number, line) for number, line
+                     in enumerate(raw, first_line) if line.strip()]
             for position, (line_number, line) in enumerate(lines):
                 record = self._parse(line)
                 if record is None:
@@ -327,6 +415,11 @@ class WalReader:
                     raise WalError(
                         f"{path.name}:{line_number}: corrupt WAL record")
                 if record["seq"] < self.start_seq:
+                    if record["seq"] == self.start_seq - 1:
+                        # The record just before start_seq: nothing is
+                        # yielded yet, but a later reader may resume here.
+                        self._stop_segment = segment
+                        self._stop_line = line_number
                     continue  # pre-compaction leftovers
                 if record["seq"] != expected:
                     raise WalError(
@@ -335,6 +428,8 @@ class WalReader:
                 self.chain = chain_extend(self.chain, record["crc"])
                 self.last_seq = expected
                 expected += 1
+                self._stop_segment = segment
+                self._stop_line = line_number
                 yield record
 
     def _truncate(self, path: Path, keep: List[Tuple[int, str]]) -> None:

@@ -19,7 +19,7 @@ from repro.net.clock import DAY
 from repro.service import CampaignDaemon, WindowedStudyReader
 from repro.store import RunStore, fault_injection
 
-from tests.conftest import service_config
+from tests.conftest import service_config, small_world_config
 
 
 class SimulatedCrash(BaseException):
@@ -61,6 +61,44 @@ def test_tick_past_horizon_raises(service_run):
     result, _ = service_run
     with pytest.raises(RuntimeError, match="campaign complete"):
         result.daemon.tick()
+
+
+def test_horizon_cursor_tracks_a_live_daemon(tmp_path):
+    """After every tick (and the closing checkpoint), a long-lived
+    reader's incremental horizon equals a from-scratch reader's; its
+    incremental fold ends equal to a one-pass fold."""
+    from repro.obs import use_registry
+    from repro.store import read_study
+
+    run_dir = tmp_path / "live"
+    with use_registry():
+        daemon = CampaignDaemon.create(service_config(
+            run_dir, world=small_world_config(scale=0.02),
+            segment_max_records=256))
+        live = WindowedStudyReader(RunStore.open(run_dir))
+
+        def check_horizon():
+            fresh = WindowedStudyReader(RunStore.open(run_dir))
+            assert live.horizon() == fresh.horizon()
+
+        while daemon.day < daemon.config.campaign_days:
+            daemon.tick()
+            check_horizon()
+            assert live.horizon() == pytest.approx(daemon.day * DAY)
+            live.refresh()
+        daemon.close()
+        check_horizon()
+        live.refresh()
+        folded = read_study(run_dir)
+
+    def summary(reader):
+        return (reader.last_seq, reader.sightings, reader.marks,
+                {label: (scan.targets_seen,
+                         {protocol: len(scan.grabs(protocol))
+                          for protocol in scan.protocols()})
+                 for label, scan in reader.results.items()})
+
+    assert summary(live) == summary(folded)
 
 
 def test_crashed_campaign_resumes_to_identical_series(tmp_path,

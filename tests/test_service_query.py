@@ -105,6 +105,82 @@ def test_horizon_is_last_closed_day(reader, service_run):
     assert reader.horizon() == pytest.approx(days * DAY)
 
 
+def test_warm_horizon_parses_no_record(service_store, monkeypatch):
+    """On a closed store, a warm horizon() seeks past everything it has
+    read and parses nothing."""
+    reader = WindowedStudyReader(service_store)
+    cold = reader.horizon()
+    parsed = []
+    parse = WalReader._parse
+    monkeypatch.setattr(WalReader, "_parse", staticmethod(
+        lambda line: parsed.append(line) or parse(line)))
+    assert reader.horizon() == cold
+    assert parsed == []
+
+
+def test_concurrent_horizons_never_decrease(tmp_path):
+    """16 threads share one reader's cursor while a writer appends day
+    marks and cuts checkpoints: no thread ever sees the horizon go back,
+    and the last read equals a from-scratch reader's."""
+    import sys
+    import threading
+
+    from repro.store import Checkpoint
+
+    store = RunStore.create(tmp_path / "run", config={"seed": 7},
+                            cooldown_ttl=0.0, segment_max_records=16,
+                            fsync_every=4)
+    reader = WindowedStudyReader(RunStore.open(store.run_dir))
+    done = threading.Event()
+    failures = []
+    days = 60
+
+    def writer():
+        wal = store.new_writer()
+        try:
+            for day in range(1, days + 1):
+                for i in range(5):
+                    wal.append({"t": "sighting", "addr": f"2001:db8::{i:x}",
+                                "time": day * DAY - i, "server": "x"})
+                wal.append({"t": "mark", "phase": "service", "day": day,
+                            "clock": day * DAY, "targets": {"ntp": day}})
+                if day % 7 == 0:
+                    wal.sync()
+                    store.write_checkpoint(Checkpoint(
+                        seq=wal.last_seq, chain=wal.chain,
+                        state={"clock": day * DAY, "targets": {}}))
+        finally:
+            wal.close()
+            done.set()
+
+    def query():
+        previous = 0.0
+        try:
+            while not done.is_set():
+                horizon = reader.horizon()
+                if horizon < previous:
+                    failures.append((previous, horizon))
+                previous = horizon
+        except Exception as error:  # noqa: BLE001 — reported below
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=query) for _ in range(16)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    fresh = WindowedStudyReader(RunStore.open(store.run_dir))
+    assert reader.horizon() == fresh.horizon() == days * DAY
+
+
 def test_series_materializes_only_complete_windows(reader, service_run):
     result, _ = service_run
     days = result.daemon.config.campaign_days

@@ -74,8 +74,8 @@ def test_warm_cache_skips_store_entirely(service_run):
         replayed = counter_value(registry, "service_replay_records_total")
         service.query()
         # Second pass: same frames from cache, zero new window replay
-        # (the horizon probe re-reads only the post-checkpoint tail,
-        # which is empty for a cleanly closed campaign).
+        # (the horizon cursor reads only records appended since the
+        # first pass, and a closed campaign appends none).
         assert (counter_value(registry, "service_frames_built_total")
                 == built)
         assert (counter_value(registry, "service_replay_records_total")
@@ -85,6 +85,79 @@ def test_warm_cache_skips_store_entirely(service_run):
     assert stats["latency_p50_ms"] >= 0.0
     assert stats["latency_p99_ms"] >= stats["latency_p50_ms"]
     assert stats["cache"]["frames"] == len(service.cache)
+
+
+def test_latency_samples_are_bounded(service_run, monkeypatch):
+    from repro.service import frontend
+
+    _, run_dir = service_run
+    monkeypatch.setattr(frontend, "LATENCY_SAMPLES", 16)
+    with use_registry():
+        service = QueryService(str(run_dir), window_days=4, step_days=2)
+        for _ in range(40):
+            service.query(since=100)  # past the horizon: no window
+    assert len(service._latencies) == 16
+    assert service.stats()["queries"] == 40
+
+
+def test_query_larger_than_the_cache_is_refused(service_run):
+    """81 windows against a 32-frame cache: refused before any frame
+    is built, and the server keeps answering."""
+    _, run_dir = service_run
+    with use_registry() as registry:
+        server = api.serve(str(run_dir), window=4, step=2)
+        try:
+            refused = query_server(server.address,
+                                   {"cmd": "query", "step": 0.05})
+            built = counter_value(registry, "service_frames_built_total")
+            answered = query_server(server.address,
+                                    {"cmd": "query", "since": 4},
+                                    timeout=120.0)
+        finally:
+            server.shutdown()
+    assert not refused["ok"]
+    assert refused["error"].startswith("QueryTooLarge: ")
+    assert "frame cache holds" in refused["error"]
+    assert built == 0
+    assert answered["ok"] and len(answered["windows"]) == 1
+
+
+def test_over_long_request_line_closes_the_connection(service_run):
+    import socket
+    import threading
+
+    from repro.service.frontend import MAX_REQUEST_BYTES
+
+    _, run_dir = service_run
+    with use_registry():
+        server = api.serve(str(run_dir))
+        try:
+            with socket.create_connection(server.address,
+                                          timeout=30.0) as conn:
+                # Send from a thread: the server stops reading after
+                # MAX_REQUEST_BYTES, so this send may never complete.
+                sender = threading.Thread(
+                    target=_send_quietly,
+                    args=(conn, b"x" * (1 << 20)), daemon=True)
+                sender.start()
+                reply = conn.makefile("rb").readline()
+                rest = conn.recv(1)  # b"": the server closed
+                sender.join(timeout=30.0)
+            answered = query_server(server.address, {"cmd": "stats"})
+        finally:
+            server.shutdown()
+    error = json.loads(reply)
+    assert not error["ok"]
+    assert f"exceeds {MAX_REQUEST_BYTES} bytes" in error["error"]
+    assert rest == b""
+    assert answered["ok"]
+
+
+def _send_quietly(conn, data):
+    try:
+        conn.sendall(data)
+    except OSError:
+        pass  # the server closed its end mid-send
 
 
 def test_frame_cache_evicts_least_recent(service_run):

@@ -166,6 +166,204 @@ class TestWalReader:
             list(WalReader(tmp_path).records())
 
 
+def resume_matches_fresh(wal_dir, previous):
+    """Resume from ``previous``'s position; demand a fresh reader's result.
+
+    Returns the resumed reader and how many lines it parsed.
+    """
+    start, chain = previous.last_seq + 1, previous.chain
+    parsed = []
+    parse = WalReader._parse
+
+    def counting(line):
+        parsed.append(line)
+        return parse(line)
+
+    resumed = WalReader(wal_dir, start_seq=start, chain=chain,
+                        position=previous.position)
+    fresh = WalReader(wal_dir, start_seq=start, chain=chain)
+    WalReader._parse = staticmethod(counting)
+    try:
+        got = list(resumed.records())
+    finally:
+        WalReader._parse = staticmethod(parse)
+    assert got == list(fresh.records())
+    assert (resumed.last_seq, resumed.chain, resumed.truncated_lines) == (
+        fresh.last_seq, fresh.chain, fresh.truncated_lines)
+    assert resumed.position == fresh.position
+    return resumed, len(parsed)
+
+
+def raw_record(seq, payload):
+    """One canonical WAL line (no newline), as the writer frames it."""
+    from repro.io.jsonl import to_canonical_json
+
+    return to_canonical_json({"crc": record_crc(seq, payload), "seq": seq,
+                              **payload})
+
+
+class TestWalCursor:
+    """A position-resumed read equals a fresh read from the same seq."""
+
+    def _append(self, tmp_path, count, previous=None, **kwargs):
+        """Append ``count`` sightings, continuing ``previous``'s log."""
+        if previous is not None:
+            active = list_segments(tmp_path)[-1]
+            kwargs.update(next_seq=previous.last_seq + 1,
+                          chain=previous.chain, active_segment=active,
+                          active_records=len(active.read_text().splitlines()))
+        writer = WalWriter(tmp_path, **kwargs)
+        for _ in range(count):
+            writer.append(sighting(writer.last_seq + 1))
+        writer.close()
+        return writer
+
+    def test_appends_within_a_segment(self, tmp_path):
+        first = self._append(tmp_path, 3, segment_max_records=10)
+        _, reader = read_all(tmp_path)
+        assert reader.position.seq == 3
+        self._append(tmp_path, 2, first, segment_max_records=10)
+        resumed, parsed = resume_matches_fresh(tmp_path, reader)
+        assert resumed.last_seq == 5
+        assert parsed == 2  # only the appended records
+
+    def test_segment_roll(self, tmp_path):
+        first = self._append(tmp_path, 3, segment_max_records=4)
+        _, reader = read_all(tmp_path)
+        self._append(tmp_path, 6, first, segment_max_records=4)
+        resumed, parsed = resume_matches_fresh(tmp_path, reader)
+        assert resumed.last_seq == 9
+        assert parsed == 6
+        assert resumed.position.segment == segment_name(9)
+
+    def test_nothing_new_keeps_the_position(self, tmp_path):
+        self._append(tmp_path, 3)
+        _, reader = read_all(tmp_path)
+        resumed, parsed = resume_matches_fresh(tmp_path, reader)
+        assert parsed == 0 and resumed.position == reader.position
+
+    def test_position_past_an_empty_tail(self, tmp_path):
+        """A reader that starts past the log's end still records where
+        the straddling segment's last record ends."""
+        self._append(tmp_path, 5)
+        reader = WalReader(tmp_path, start_seq=6)
+        assert list(reader.records()) == []
+        assert reader.position.seq == 5
+        _, parsed = resume_matches_fresh(tmp_path, reader)
+        assert parsed == 0
+
+    def test_final_line_without_newline_completed_later(self, tmp_path):
+        first = self._append(tmp_path, 3)
+        segment = list_segments(tmp_path)[-1]
+        chain = chain_extend(first.chain, record_crc(4, sighting(4)))
+        with open(segment, "a", encoding="utf-8") as handle:
+            handle.write(raw_record(4, sighting(4)))  # newline not yet
+        _, reader = read_all(tmp_path)
+        assert reader.last_seq == 4 and reader.chain == chain
+        assert reader.position.offset == segment.stat().st_size
+        with open(segment, "a", encoding="utf-8") as handle:
+            handle.write("\n" + raw_record(5, sighting(5)) + "\n")
+        resumed, parsed = resume_matches_fresh(tmp_path, reader)
+        assert resumed.last_seq == 5 and parsed == 1
+
+    def test_torn_tail_then_repair_and_appends(self, tmp_path):
+        store = make_store(tmp_path, segment_max_records=10)
+        writer = store.new_writer()
+        for i in range(5):
+            writer.append(sighting(i))
+        writer.close()
+        segment = list_segments(store.wal_dir)[-1]
+        with open(segment, "a", encoding="utf-8") as handle:
+            handle.write('{"t": "sighting", "half')  # crash mid-write
+        _, reader = read_all(store.wal_dir)
+        assert reader.last_seq == 5 and reader.truncated_lines == 1
+        # The torn line is still there: a resumed read skips it the same.
+        resume_matches_fresh(store.wal_dir, reader)
+        recovery = store.recover(repair=True)
+        append = store.writer_for_append(recovery)
+        append.append(sighting(5))
+        append.append(sighting(6))
+        append.close()
+        resumed, parsed = resume_matches_fresh(store.wal_dir, reader)
+        assert resumed.last_seq == 7 and resumed.truncated_lines == 0
+        assert parsed == 2
+
+    def test_unconfirmed_offset_falls_back_to_a_full_scan(self, tmp_path):
+        first = self._append(tmp_path, 3, segment_max_records=10)
+        _, reader = read_all(tmp_path)
+        segment = list_segments(tmp_path)[-1]
+        # Rewritten with the same records behind a blank line: every
+        # byte offset shifts, so the position no longer matches.
+        segment.write_text("\n" + segment.read_text(), encoding="utf-8")
+        self._append(tmp_path, 2, first, segment_max_records=10)
+        resumed, parsed = resume_matches_fresh(tmp_path, reader)
+        assert resumed.last_seq == 5
+        assert parsed == 5  # the whole segment, as without a position
+
+    def test_segment_shorter_than_the_offset_falls_back(self, tmp_path):
+        self._append(tmp_path, 3, segment_max_records=10)
+        _, reader = read_all(tmp_path)
+        segment = list_segments(tmp_path)[-1]
+        segment.write_text("".join(
+            line + "\n" for line in segment.read_text().splitlines()[:2]))
+        resumed, _ = resume_matches_fresh(tmp_path, reader)
+        assert resumed.position is None  # the offset was not trusted
+
+    def test_compaction_behind_the_cursor(self, tmp_path):
+        store = make_store(tmp_path)  # 4 records per segment
+        writer = store.new_writer()
+        for i in range(10):
+            writer.append(sighting(i))
+        writer.sync()
+        store.write_checkpoint(Checkpoint(seq=writer.last_seq,
+                                          chain=writer.chain, state={}))
+        writer.close()
+        _, reader = read_all(store.wal_dir)
+        assert store.compact()["compacted_through"] == 8
+        append = store.writer_for_append(store.recover())
+        for i in range(10, 13):
+            append.append(sighting(i))
+        append.close()
+        resumed, parsed = resume_matches_fresh(store.wal_dir, reader)
+        assert resumed.last_seq == 13 and parsed == 3
+
+    def test_compaction_past_the_cursor(self, tmp_path):
+        from repro.store import CompactedBehindReader, IncrementalStudyReader
+
+        store = make_store(tmp_path)  # 4 records per segment
+        writer = store.new_writer()
+        for i in range(3):
+            writer.append(sighting(i))
+        writer.sync()
+        _, reader = read_all(store.wal_dir)
+        study = IncrementalStudyReader(RunStore.open(store.run_dir))
+        assert study.refresh() == 3
+        for i in range(3, 10):
+            writer.append(sighting(i))
+        writer.sync()
+        store.write_checkpoint(Checkpoint(seq=writer.last_seq,
+                                          chain=writer.chain, state={}))
+        writer.close()
+        store.compact()  # deletes the segment the cursor points into
+        resumed = WalReader(store.wal_dir, start_seq=4, chain=reader.chain,
+                            position=reader.position)
+        with pytest.raises(WalError, match="sequence gap"):
+            list(WalReader(store.wal_dir, start_seq=4,
+                           chain=reader.chain).records())
+        with pytest.raises(WalError, match="sequence gap"):
+            list(resumed.records())
+        with pytest.raises(CompactedBehindReader, match="compacted through"):
+            study.refresh()
+
+    def test_repair_refuses_a_position(self, tmp_path):
+        self._append(tmp_path, 3)
+        _, reader = read_all(tmp_path)
+        resumed = WalReader(tmp_path, start_seq=4, chain=reader.chain,
+                            position=reader.position)
+        with pytest.raises(ValueError, match="full scan"):
+            list(resumed.records(repair=True))
+
+
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
         checkpoint = Checkpoint(seq=42, chain=0xDEAD,
