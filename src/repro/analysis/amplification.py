@@ -15,7 +15,7 @@ monlist scan tells:
 
 Both reports are frozen dataclasses built by pure functions of the
 grab list, and :func:`amplification_table` renders them to the aligned
-text artefact the bench commits — byte-identical however many workers
+text artefact the bench commits — byte-identical however many shards
 produced the grabs.
 """
 
@@ -155,7 +155,7 @@ def amplification_table(exposure: MonlistExposureReport,
     """Render both reports as one aligned text artefact.
 
     A pure function of the two frozen reports — the parity tests pin
-    this string byte-identical across 0/2/4-worker runs.
+    this string byte-identical at every shard count.
     """
     exposure_rows = [
         [row.group, fmt_int(row.responsive), fmt_int(row.exposed),

@@ -39,8 +39,7 @@ class ClusterStats:
     """Work counters of one clustering / distance workload.
 
     Deterministic under a fixed input (no wall time lives here), so the
-    parallel analysis driver can merge worker copies additively and
-    land on the exact totals a sequential run records.
+    ``analysis_*`` series it publishes are the same on every run.
     """
 
     #: Candidate pairs that reached the distance stage (cache or DP).
@@ -57,8 +56,8 @@ class ClusterStats:
     def publish(self, registry, **labels) -> None:
         """Record the tallies as ``analysis_*`` counters on ``registry``.
 
-        Every series is created even at zero so sequential and parallel
-        analysis runs expose an identical metric surface.
+        Every series is created even at zero, so every analysis run
+        exposes an identical metric surface.
         """
         registry.counter("analysis_pairs_compared_total",
                          **labels).inc(self.pairs_compared)
@@ -390,10 +389,6 @@ class TitleClusterer:
             self._assignments[title] = group
         group.add(title, count)
         return group
-
-    def add_all(self, titles: Iterable[str]) -> None:
-        for title in titles:
-            self.add(title)
 
     def top(self, n: int = 10) -> List[TitleGroup]:
         """Largest groups first."""

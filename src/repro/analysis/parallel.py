@@ -1,4 +1,4 @@
-"""Parallel analysis driver: the Section-4 tables as a job fan-out.
+"""The Section-4 tables as a fixed, in-order job list.
 
 The Table/Figure computations over a finished pair of scan campaigns
 are mutually independent — each side of Table 3 (HTTP title clustering,
@@ -6,28 +6,19 @@ SSH OS buckets, CoAP resource groups), the Figure-2 SSH outdatedness
 assessment, the Figure-3 broker access-control classification, and the
 Section-6 key-reuse sweep each read only their own slice of the
 immutable :class:`~repro.scan.result.ScanResults`.  This module runs
-them as a fixed, deterministic job list, either inline or across the
-same persistent ``spawn``-safe :class:`~repro.runtime.pool.WorkerPool`
-the scan backend uses — each campaign side's results ship to the pool
-once as a pickle-once :class:`~repro.runtime.pool.SnapshotRef`, not
-once per job, and a pool shared via
-:class:`repro.api.ExecutionContext` keeps both its workers and that
-snapshot cache across calls.
+them as a fixed, deterministic job list, in order, in this process.
 
-Determinism argument: every job is a pure function of its pickled
-inputs, each job records into its own fresh
-:class:`~repro.obs.metrics.MetricsRegistry`, and the parent merges the
-job registries **in job-list order** in both execution modes — so the
+Each job records into its own fresh
+:class:`~repro.obs.metrics.MetricsRegistry`, and the jobs' registries
+fold into the caller's registry **in job-list order**, so the
 assembled :class:`AnalysisBundle` and every ``analysis_*`` metric
-series are byte-identical at any worker count.  The only thing allowed
-to differ is wall-clock observability, which lives in
-:attr:`AnalysisBundle.timing` and never in the metrics registry.
+series depend only on the inputs.  DESIGN.md §8 records why there is
+no process pool behind this loop.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import devicetypes, keyreuse, security
@@ -39,9 +30,6 @@ from repro.analysis.security import (
     SecureShareReport,
 )
 from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
-from repro.runtime.parallel import WorkerCrashed
-from repro.runtime.pool import PoolBrokenError, SnapshotRef, WorkerPool, \
-    load_snapshot
 from repro.scan.result import ScanResults
 from repro.world.asdb import AsDatabase
 
@@ -54,55 +42,30 @@ BROKER_PROTOCOLS = ("mqtt", "amqp")
 
 @dataclass
 class AnalysisTask:
-    """One independent table/figure computation, by value.
+    """One independent table/figure computation.
 
-    Everything a worker needs ships in the task: the (picklable)
-    scan results, the dataset label, and for key reuse the AS
-    database.  ``job`` is unique within one :func:`run_analysis` call
-    and doubles as the merge key.
+    The task names its inputs: the scan results, the dataset label,
+    and for key reuse the AS database.  ``job`` is unique within one
+    :func:`run_analysis` call and keys the job's value.
     """
 
     job: str
     kind: str
     dataset: str
-    #: The campaign's results by value (inline mode), or ``None`` when
-    #: the pooled path replaced them with a pickle-once ``results_ref``.
-    results: Optional[ScanResults]
+    results: ScanResults
     protocol: Optional[str] = None
     asdb: Optional[AsDatabase] = None
-    #: Pool-spooled address of ``results`` — each campaign side ships
-    #: once per (results, pool) pair, not once per job.
-    results_ref: Optional[SnapshotRef] = None
-
-
-@dataclass
-class AnalysisJobOutcome:
-    """One job's complete, picklable result."""
-
-    job: str
-    value: object
-    metrics: MetricsRegistry
-    wall_seconds: float
-    cpu_seconds: float
 
 
 @dataclass
 class AnalysisBundle:
-    """Every Section-4/6 artefact of one analysis run, merged.
-
-    All fields except :attr:`timing` are deterministic in the inputs;
-    :attr:`timing` is wall-clock observability (per-job wall/cpu
-    seconds, pool totals) and is excluded from every byte-identity
-    guarantee — report builders must keep it out of deterministic
-    tables.
-    """
+    """Every Section-4/6 artefact of one analysis run, merged."""
 
     table3: DeviceTypeTable
     ssh: Dict[str, OutdatednessReport]
     brokers: Dict[Tuple[str, str], AccessControlReport]
     secure: Dict[str, SecureShareReport]
     keyreuse: Dict[str, ReuseReport] = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
 
     def security_gap(self) -> Tuple[SecureShareReport, SecureShareReport]:
         """The paper's headline pair: (NTP report, hitlist report)."""
@@ -167,120 +130,31 @@ def analysis_tasks(ntp: ScanResults, hitlist: ScanResults,
     return tasks
 
 
-def run_analysis_job(task: AnalysisTask) -> AnalysisJobOutcome:
-    """Worker entry point: run one job under a private registry.
-
-    Must stay a module-level function — spawn pickles it by reference.
-    The sequential path calls it too, so both modes build identical
-    per-job registries and merge them identically.
-    """
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    if task.results is None and task.results_ref is not None:
-        # Pooled mode: resolve the pickle-once snapshot (cached per
-        # worker process, so one load serves every job on this side).
-        task = replace(task, results=load_snapshot(task.results_ref))
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        value = _JOB_KINDS[task.kind](task)
-        registry.counter("analysis_jobs_total").inc()
-    return AnalysisJobOutcome(
-        job=task.job,
-        value=value,
-        metrics=registry,
-        wall_seconds=time.perf_counter() - wall_start,
-        cpu_seconds=time.process_time() - cpu_start,
-    )
-
-
-def _ship_side(pool: WorkerPool, results: ScanResults) -> SnapshotRef:
-    """Spool one campaign side into the pool, pickling at most once.
-
-    The cache token captures the live object plus its append-only
-    shape (bucket sizes, targets seen): re-analyzing the same results
-    on the same pool skips the pickling pass, while results that grew
-    since last shipment re-ship.
-    """
-    token = ("results", id(results), results.targets_seen,
-             tuple(len(results.grabs(p)) for p in results.protocols()))
-    ref = pool.lookup(token, anchor=results)
-    if ref is None:
-        ref = pool.ship(results, token=token, anchor=results)
-    return ref
-
-
 def run_analysis(ntp: ScanResults, hitlist: ScanResults, *,
-                 asdb: Optional[AsDatabase] = None,
-                 workers: int = 0,
-                 start_method: Optional[str] = None,
-                 pool: Optional[WorkerPool] = None) -> AnalysisBundle:
+                 asdb: Optional[AsDatabase] = None) -> AnalysisBundle:
     """Run every analysis job and merge the outcomes deterministically.
 
-    ``workers == 0`` (and no ``pool``) runs the jobs inline in job-list
-    order; ``workers >= 1`` fans them across a ``spawn``-safe process
-    pool of that width, and a caller-owned persistent ``pool`` (usually
-    :class:`repro.api.ExecutionContext`'s) is used as-is — its workers
-    and its pickle-once snapshot cache outlive this call, so each
-    campaign side ships once per (results, pool) pair, not once per
-    job or per call.  Either way the job registries fold into the
-    current metrics registry in job-list order, so the bundle and all
-    ``analysis_*`` series are byte-identical across modes.  Key reuse
-    requires ``asdb`` and is skipped without one (offline re-analysis
-    of saved scan files has no AS database).
+    Jobs run in job-list order, each under a private registry that
+    folds into the current metrics registry as soon as the job ends.
+    Key reuse requires ``asdb`` and is skipped without one (offline
+    re-analysis of saved scan files has no AS database).
     """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    tasks = analysis_tasks(ntp, hitlist, asdb)
-    outcomes: Dict[str, AnalysisJobOutcome] = {}
-    pool_start = time.perf_counter()
-    ephemeral = pool is None and workers >= 1
-    if ephemeral:
-        pool = WorkerPool(workers, start_method=start_method)
-    if pool is not None:
-        try:
-            refs = {id(side): _ship_side(pool, side)
-                    for side in (ntp, hitlist)}
-            shipped = [replace(task, results=None,
-                               results_ref=refs[id(task.results)])
-                       for task in tasks]
-            try:
-                for index, outcome in pool.map_in_order(run_analysis_job,
-                                                        shipped):
-                    outcomes[tasks[index].job] = outcome
-            except PoolBrokenError as exc:
-                names = [tasks[index].job for index in exc.lost]
-                raise WorkerCrashed(
-                    exc.lost,
-                    f"worker pool broke while running analysis job(s) "
-                    f"{names}; no partial analyses were merged") from exc
-        finally:
-            if ephemeral:
-                pool.close()
-        effective_workers = pool.workers
-    else:
-        for task in tasks:
-            outcomes[task.job] = run_analysis_job(task)
-        effective_workers = 0
-    pool_seconds = time.perf_counter() - pool_start
-
     registry = current_registry()
-    for task in tasks:
-        registry.merge(outcomes[task.job].metrics)
+    values: Dict[str, object] = {}
+    for task in analysis_tasks(ntp, hitlist, asdb):
+        job_registry = MetricsRegistry()
+        with use_registry(job_registry):
+            values[task.job] = _JOB_KINDS[task.kind](task)
+            job_registry.counter("analysis_jobs_total").inc()
+        registry.merge(job_registry)
+    return _assemble(values, asdb is not None)
 
-    return _assemble(tasks, outcomes, asdb is not None, effective_workers,
-                     pool_seconds)
 
-
-def _assemble(tasks: List[AnalysisTask],
-              outcomes: Dict[str, AnalysisJobOutcome],
-              with_keyreuse: bool, workers: int,
-              pool_seconds: float) -> AnalysisBundle:
-    """Fold job outcomes into one bundle, in fixed field order."""
-    def value(job: str):
-        return outcomes[job].value
-
-    ssh = {side: value(f"fig2_ssh:{side}") for side in SIDES}
-    brokers = {(side, protocol): value(f"fig3_{protocol}:{side}")
+def _assemble(values: Dict[str, object],
+              with_keyreuse: bool) -> AnalysisBundle:
+    """Fold job values into one bundle, in fixed field order."""
+    ssh = {side: values[f"fig2_ssh:{side}"] for side in SIDES}
+    brokers = {(side, protocol): values[f"fig3_{protocol}:{side}"]
                for side in SIDES for protocol in BROKER_PROTOCOLS}
     secure = {}
     for side in SIDES:
@@ -293,30 +167,19 @@ def _assemble(tasks: List[AnalysisTask],
             brokers_total=mqtt.total + amqp.total,
             brokers_secure=mqtt.controlled + amqp.controlled,
         )
-    reuse = {side: value(f"keyreuse:{side}") for side in SIDES} \
+    reuse = {side: values[f"keyreuse:{side}"] for side in SIDES} \
         if with_keyreuse else {}
-    timing = {
-        "workers": workers,
-        "pool_wall_seconds": pool_seconds,
-        "jobs": [
-            {"job": task.job,
-             "wall_seconds": outcomes[task.job].wall_seconds,
-             "cpu_seconds": outcomes[task.job].cpu_seconds}
-            for task in tasks
-        ],
-    }
     return AnalysisBundle(
         table3=DeviceTypeTable(
-            http_ntp=value("table3_http:ntp"),
-            http_hitlist=value("table3_http:hitlist"),
-            ssh_ntp=value("table3_ssh:ntp"),
-            ssh_hitlist=value("table3_ssh:hitlist"),
-            coap_ntp=value("table3_coap:ntp"),
-            coap_hitlist=value("table3_coap:hitlist"),
+            http_ntp=values["table3_http:ntp"],
+            http_hitlist=values["table3_http:hitlist"],
+            ssh_ntp=values["table3_ssh:ntp"],
+            ssh_hitlist=values["table3_ssh:hitlist"],
+            coap_ntp=values["table3_coap:ntp"],
+            coap_hitlist=values["table3_coap:hitlist"],
         ),
         ssh=ssh,
         brokers=brokers,
         secure=secure,
         keyreuse=reuse,
-        timing=timing,
     )

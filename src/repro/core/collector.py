@@ -17,7 +17,7 @@ adapter over the bus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterator, Optional, Set
 
 from repro.net.simnet import Network
 from repro.ntp.packet import NtpPacket
@@ -95,9 +95,6 @@ class CollectedDataset:
 
     def iter_addresses(self) -> Iterator[int]:
         return iter(self.observations)
-
-    def server_locations(self) -> List[str]:
-        return list(self.per_server)
 
     def per_server_counts(self) -> Dict[str, int]:
         """Distinct addresses per capture server (Appendix D, Table 7)."""

@@ -212,11 +212,9 @@ class MetricsRegistry:
 
         Counters and gauges add; histograms sum bucket counts, sums and
         observation counts (boundaries must match).  Series missing here
-        are created.  This is how the parallel backend folds worker
-        registries back into the run registry: a worker records into a
-        fresh registry, and merging in deterministic shard order
-        reproduces the exact values a sequential run would have
-        recorded (addition is the only operation either path uses).
+        are created.  This is how ``run_analysis`` folds each job's
+        private registry back into the run registry, in job-list
+        order.
         """
         for name, labels, instrument in other.series():
             if isinstance(instrument, Counter):

@@ -168,10 +168,10 @@ class HttpServerSession:
 class HttpSessionFactory:
     """Picklable factory producing :class:`HttpServerSession` instances.
 
-    Device models and the parallel scan backend bind TCP services as
+    Device models bind TCP services as
     *factory objects* rather than closures: a factory captures only the
     session's configuration, so a host's service surface survives a
-    pickle round trip into a worker process.
+    pickle round trip.
     """
 
     title: Optional[str]

@@ -27,16 +27,7 @@ from repro.runtime.stage import BoundedQueue, Stage, StageStats
 #: itself imports repro.runtime.registry — importing it eagerly here
 #: would close an import cycle through this package's __init__.
 _LAZY = {"ShardedScanEngine": "repro.runtime.sharding",
-         "shard_of": "repro.runtime.sharding",
-         "ParallelShardedScanEngine": "repro.runtime.parallel",
-         "ParallelExecutionError": "repro.runtime.parallel",
-         "WorkerCrashed": "repro.runtime.parallel",
-         "NetworkView": "repro.runtime.snapshot",
-         "SnapshotError": "repro.runtime.snapshot",
-         "WorkerPool": "repro.runtime.pool",
-         "PoolBrokenError": "repro.runtime.pool",
-         "SnapshotRef": "repro.runtime.pool",
-         "resolve_workers": "repro.runtime.pool"}
+         "shard_of": "repro.runtime.sharding"}
 
 
 def __getattr__(name):
@@ -54,21 +45,12 @@ __all__ = [
     "DEFAULT_PACKET_COST",
     "Event",
     "EventBus",
-    "NetworkView",
-    "ParallelExecutionError",
-    "ParallelShardedScanEngine",
-    "PoolBrokenError",
     "ProbeRegistry",
     "ProbeSpec",
     "ShardedScanEngine",
-    "SnapshotError",
-    "SnapshotRef",
     "Stage",
     "StageStats",
     "TargetScanned",
-    "WorkerCrashed",
-    "WorkerPool",
     "default_registry",
-    "resolve_workers",
     "shard_of",
 ]

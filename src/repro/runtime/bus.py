@@ -114,6 +114,3 @@ class EventBus:
         delivered = len(handlers)
         self.stats.delivered += delivered
         return delivered
-
-    def subscriber_count(self, event_type: Type[Event]) -> int:
-        return len(self._subscribers.get(event_type, ()))

@@ -8,7 +8,7 @@ engine's exact external contract while partitioning that state across
 keyed by a deterministic address hash:
 
 * each shard owns a *small* cool-down map and result set (cheaper
-  lookups, independently prunable, trivially parallelizable later);
+  lookups, independently prunable);
 * targets are scanned at feed time in arrival order, so under a fixed
   seed the merged results are byte-identical in totals to a
   single-engine run (the golden determinism tests pin this);

@@ -140,20 +140,6 @@ class ScanScheduler:
         self._m_pruned.inc(len(expired))
         return len(expired)
 
-    def cooldown_state(self) -> Dict[int, float]:
-        """A copy of the live cool-down map (integer-address keys).
-
-        The parallel backend ships this to worker processes so a
-        shard's rebuilt scheduler starts from exactly the state the
-        in-process scheduler had, and installs the worker's final map
-        back via :meth:`load_cooldown`.
-        """
-        return dict(self._last_scanned)
-
-    def load_cooldown(self, state: Dict[int, float]) -> None:
-        """Replace the cool-down map with ``state`` (see above)."""
-        self._last_scanned = dict(state)
-
     def cooldown_snapshot(self) -> Dict[str, float]:
         """The live cool-down map, JSON-shaped for checkpoints.
 

@@ -194,8 +194,7 @@ class ScanResults:
         The streaming half of :meth:`merged`: buckets extend in call
         order, counters sum — so absorbing parts one at a time in shard
         order is byte-identical to a single :meth:`merged` call over
-        the same sequence (the parallel backend folds each worker's
-        chunk the moment its shard's turn comes).
+        the same sequence.
         """
         for protocol in part.protocols():
             grabs = part.grabs(protocol)

@@ -116,7 +116,7 @@ class CampaignDaemon:
                                  ptr_name=SCANNER_PTR_NAME)
         label = config.campaign.label
         self.engine = _build_engine(
-            self.world, scanner_source,
+            self.world.network, scanner_source,
             EngineConfig(drive_clock=False, seed=config.scan_seed),
             registry, config.scan_shards, name=label)
         self.queue = RealTimeScanQueue(
@@ -137,7 +137,7 @@ class CampaignDaemon:
         # re-probe inside the TTL) holds by construction as long as
         # hitlist_days exceeds the cool-down (the defaults: 7 > 3).
         self.hitlist_engine = _build_engine(
-            self.world, scanner_source,
+            self.world.network, scanner_source,
             EngineConfig(drive_clock=False, seed=config.scan_seed ^ 0xFF),
             registry, config.scan_shards, name="hitlist")
         self.hitlist_engine.attach_store(writer, label="hitlist")

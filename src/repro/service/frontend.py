@@ -107,8 +107,7 @@ class QueryService:
 
     def __init__(self, run_dir, *, window_days: Optional[float] = None,
                  step_days: Optional[float] = None,
-                 cache_frames: Optional[int] = None,
-                 ctx=None) -> None:
+                 cache_frames: Optional[int] = None) -> None:
         self.store = RunStore.open(run_dir)
         document = self.store.meta.get("config", {})
         service_doc = document if is_service_document(document) else {}
@@ -132,9 +131,6 @@ class QueryService:
         #: same WAL span N times.
         self._builds: Dict[Tuple[str, float, float], threading.Lock] = {}
         self._builds_lock = threading.Lock()
-        #: Shared execution context — one pool (or one sequential
-        #: context) across every concurrent query; surfaced in stats().
-        self.ctx = ctx
         self._latencies: "deque[float]" = deque(maxlen=LATENCY_SAMPLES)
         self._queries = 0
         self._lock = threading.Lock()
@@ -218,7 +214,6 @@ class QueryService:
             "latency_p50_ms": _percentile(latencies, 0.50) * 1e3,
             "latency_p99_ms": _percentile(latencies, 0.99) * 1e3,
             "cache": self.cache.stats(),
-            "context": self.ctx.stats() if self.ctx is not None else {},
         }
 
 

@@ -167,8 +167,7 @@ class Device:
         (also used to put a CDN personality onto aliased /64s).
 
         Services are bound as *picklable factory objects* (not
-        closures), so the parallel scan backend can ship a host's
-        service surface to worker processes by value.
+        closures), so a host's service surface is a plain value.
         """
         if self.web is not None:
             web = self.web

@@ -29,27 +29,16 @@ TEST_SCALE = 0.16
 
 @pytest.fixture(autouse=True)
 def _no_multiprocessing_leaks():
-    """Fail any test that leaks live worker processes.
+    """Fail any test that leaks live child processes.
 
-    The parallel scan backend owns real OS processes; a test that exits
-    with children still alive (an unclosed pool, an un-joined worker)
-    leaks resources into every later test and hides shutdown bugs.  The
-    pool's context manager joins its workers, so a short grace period
-    only needs to absorb process-exit latency, not real work.
-
-    The implicit default :class:`api.ExecutionContext` pools are
-    *sanctioned* persistence (bare ``workers=`` calls keep their
-    workers alive for the process on purpose), so they are shut down
-    here before counting: a test using them stays green, while a test
-    leaking its own explicit context or pool still fails.
+    Nothing in the library starts processes, so a test that exits with
+    children still alive leaks resources into every later test.  The
+    short grace period only absorbs process-exit latency.
     """
     yield
     import multiprocessing
     import time
 
-    from repro import api
-
-    api.shutdown_default_contexts()
     children = multiprocessing.active_children()
     if children:
         deadline = time.monotonic() + 2.0

@@ -1,164 +1,58 @@
-"""Reusable deterministic-parity harness for the scan execution modes.
+"""Reusable shard-count parity harness for the scan engines.
 
-The runtime promises that the three execution backends — a single
-:class:`ScanEngine`, a :class:`ShardedScanEngine`, and a
-:class:`ParallelShardedScanEngine` at any worker count — are
-observationally equivalent under a fixed seed.  This module is the one
-place that equivalence is *defined*, so every test that claims parity
-asserts the same thing:
+The runtime promises that a single :class:`ScanEngine` and a
+:class:`ShardedScanEngine` at any shard count are observationally
+equivalent under a fixed seed in everything the study reports as a
+headline.  This module is the one place that equivalence is *defined*,
+so every test that claims shard parity asserts the same thing:
 
-* **study tables** (table1/table2/hit rates/security/device gap) are
-  identical across *all* modes, including the unsharded one;
-* **EngineStats**, **cool-down snapshots**, **merged metric series**
-  and **WAL record streams** are byte-identical between the sharded
-  and parallel backends at equal shard counts.  (The unsharded engine
-  necessarily labels its series/records ``"ntp"`` instead of
-  ``"ntp/shardN"``, so per-series identity is a sharded-vs-parallel
-  claim, not an unsharded one.)
-
-What gets stripped before comparing is as important as what does not:
-``parallel_``-prefixed metric series, the report's ``parallel``,
-``parallel_analysis`` and ``parallel_attribution`` tables and the
-``parallel_workers``/``workers`` config fields exist only in parallel
-runs (wall-clock observability), and are the *only* permitted
-difference.  The ``analysis_*`` series are
-deterministic work counters and deliberately *not* stripped — the
-analysis pool must do exactly the work the sequential path does.
+* the study tables in :data:`SHARD_INVARIANT_TABLES` are identical at
+  every shard count, including the unsharded one;
+* the ``security`` table is deliberately *not* among them: the SSH
+  key-reuse dedup keeps the first grab per key, and the shard-order
+  merge decides which grab comes first, so that table is only stable
+  between runs at equal shard layout (compare whole report documents
+  there);
+* metric series are not compared across shard counts either: the
+  unsharded engine labels its series ``"ntp"`` where shards label
+  theirs ``"ntp/shardN"``.
 """
 
 from __future__ import annotations
 
-import copy
-import os
-from dataclasses import asdict
-from pathlib import Path
+#: Shard counts every shard-parity sweep compares against one engine.
+SHARD_COUNTS = (2, 4)
 
-from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.runtime.parallel import ParallelShardedScanEngine
-from repro.runtime.sharding import ShardedScanEngine
-
-#: Worker counts every parity sweep exercises.  CI's parallel-parity
-#: job pins single counts (``REPRO_PARITY_WORKERS=2`` then ``=4``) so
-#: each pool width gets a full run on a genuinely multi-core runner.
-WORKER_COUNTS = tuple(
-    int(count) for count in
-    os.environ.get("REPRO_PARITY_WORKERS", "1,2,4").split(","))
+#: Study tables whose content does not depend on the shard count.
+SHARD_INVARIANT_TABLES = ("table1", "table2", "hit_rates", "device_gap",
+                          "keyreuse")
 
 
-def strip_parallel(document: dict) -> dict:
-    """A report document minus the fields only a parallel run carries."""
-    document = copy.deepcopy(document)
-    document.get("config", {}).pop("parallel_workers", None)
-    document.get("config", {}).pop("workers", None)
-    document.get("tables", {}).pop("parallel", None)
-    document.get("tables", {}).pop("parallel_analysis", None)
-    document.get("tables", {}).pop("parallel_attribution", None)
-    metrics = document.get("metrics", {})
-    for kind, entries in metrics.items():
-        metrics[kind] = [entry for entry in entries
-                         if not entry["name"].startswith("parallel_")]
-    return document
+def assert_study_shard_parity(config_factory, *, shard_counts=SHARD_COUNTS):
+    """Full-pipeline parity: ``study(scan_shards=1)`` vs each count.
 
-
-def strip_parallel_metrics(registry: MetricsRegistry) -> dict:
-    """A registry snapshot minus ``parallel_``-prefixed series."""
-    snapshot = registry.snapshot()
-    for kind, entries in snapshot.items():
-        snapshot[kind] = [entry for entry in entries
-                          if not entry["name"].startswith("parallel_")]
-    return snapshot
-
-
-def wal_records(run_dir) -> list:
-    """The complete surviving WAL record stream of a run store."""
-    from repro.store.wal import read_all
-
-    records, _ = read_all(Path(run_dir) / "wal")
-    return records
-
-
-# -- engine-level parity ----------------------------------------------------
-
-def run_sharded(make_world, targets, source, config, *, shards,
-                label="parity"):
-    """One sequential sharded scan on a fresh world; the reference."""
-    world = make_world()
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        engine = ShardedScanEngine(world.network, source, config,
-                                   shards=shards, name="parity")
-        results = engine.run(targets, label=label)
-    return {"results": results, "engine": engine, "metrics": registry}
-
-
-def run_parallel(make_world, targets, source, config, *, shards, workers,
-                 label="parity", pool=None):
-    """One multiprocess scan on a fresh world, same contract.
-
-    ``pool`` reuses a caller-owned persistent :class:`WorkerPool`
-    (pool-reuse parity tests); omitted, the engine runs on a private
-    single-batch pool exactly like the PR-4 backend did.
-    """
-    world = make_world()
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        engine = ParallelShardedScanEngine(world.network, source, config,
-                                           shards=shards, workers=workers,
-                                           name="parity", pool=pool)
-        results = engine.run(targets, label=label)
-    return {"results": results, "engine": engine, "metrics": registry}
-
-
-def assert_results_equal(expected, actual):
-    """Grab-for-grab equality of two ScanResults (order included)."""
-    assert actual.targets_seen == expected.targets_seen
-    assert actual.protocols() == expected.protocols()
-    for protocol in expected.protocols():
-        assert actual.grabs(protocol) == expected.grabs(protocol), protocol
-
-
-def assert_engine_parity(make_world, targets, source, config, *,
-                         shards=4, worker_counts=WORKER_COUNTS):
-    """Sequential-sharded vs parallel at every worker count.
-
-    ``make_world`` must return a *fresh*, identically seeded world per
-    call — each mode runs on its own replica so no state leaks between
-    comparisons.  Asserts byte-identity of results (grab-for-grab),
-    EngineStats, per-shard cool-down snapshots, and metric series.
-    """
-    reference = run_sharded(make_world, targets, source, config,
-                            shards=shards)
-    for workers in worker_counts:
-        candidate = run_parallel(make_world, targets, source, config,
-                                 shards=shards, workers=workers)
-        context = f"workers={workers}"
-        assert_results_equal(reference["results"], candidate["results"])
-        assert (asdict(candidate["engine"].stats)
-                == asdict(reference["engine"].stats)), context
-        assert (candidate["engine"].cooldown_snapshots()
-                == reference["engine"].cooldown_snapshots()), context
-        assert (strip_parallel_metrics(candidate["metrics"])
-                == strip_parallel_metrics(reference["metrics"])), context
-
-
-# -- study-level parity -----------------------------------------------------
-
-def assert_study_parity(config_factory, *, worker_counts=WORKER_COUNTS):
-    """Full-pipeline parity: ``study(workers=0)`` vs each worker count.
-
-    ``config_factory(workers)`` must return an identically seeded
+    ``config_factory(shards)`` must return an identically seeded
     :class:`ExperimentConfig` whose only varying field is
-    ``parallel_workers``.  Compares complete report documents — config,
-    every metric series, every table — after stripping the permitted
-    parallel-only additions.  Returns the mode → StudyResult map so
-    callers can pile on their own assertions.
+    ``scan_shards``.  Compares every shard-invariant table and the
+    per-protocol responsive address sets of both scan paths.  Returns
+    the shard count → StudyResult map so callers can pile on their own
+    assertions.
     """
     from repro import api
 
-    runs = {0: api.study(config_factory(0))}
-    reference = strip_parallel(runs[0].report.as_document())
-    for workers in worker_counts:
-        runs[workers] = api.study(config_factory(workers))
-        assert (strip_parallel(runs[workers].report.as_document())
-                == reference), f"workers={workers}"
+    runs = {1: api.study(config_factory(1))}
+    reference = runs[1]
+    for shards in shard_counts:
+        runs[shards] = candidate = api.study(config_factory(shards))
+        context = f"shards={shards}"
+        for table in SHARD_INVARIANT_TABLES:
+            assert (candidate.report.tables[table]
+                    == reference.report.tables[table]), (context, table)
+        for side in ("ntp_scan", "hitlist_scan"):
+            expected = getattr(reference.experiment, side)
+            actual = getattr(candidate.experiment, side)
+            for protocol in expected.protocols():
+                assert (actual.responsive_addresses(protocol)
+                        == expected.responsive_addresses(protocol)), \
+                    (context, side, protocol)
     return runs

@@ -1,4 +1,4 @@
-"""The analysis fast path: banded distance, pruning, parallel driver.
+"""The analysis fast path: banded distance, pruning, the job list.
 
 Three equivalence claims hold this PR together, and each gets a
 property here:
@@ -7,8 +7,8 @@ property here:
   fits the bound, and *some* value above the bound otherwise;
 * the pruned+banded clusterer emits byte-identical groups to the
   unoptimized reference scan on arbitrary corpora;
-* the parallel analysis driver's bundle and metrics are byte-identical
-  to the sequential path's.
+* ``run_analysis``'s bundle matches the analysis modules called
+  directly, and its per-job registries fold in job-list order.
 """
 
 from hypothesis import given, settings
@@ -222,35 +222,17 @@ def _synthetic_results(label, http=12, salt=0):
 
 
 class TestParallelAnalysisDriver:
-    def _run(self, workers):
+    def test_job_registries_fold_into_the_caller(self):
+        ntp = _synthetic_results("ntp")
+        hitlist = _synthetic_results("hitlist", salt=3)
         registry = MetricsRegistry()
         with use_registry(registry):
-            bundle = run_analysis(_synthetic_results("ntp"),
-                                  _synthetic_results("hitlist", salt=3),
-                                  workers=workers)
-        return bundle, registry
-
-    def test_pool_output_byte_identical_to_sequential(self):
-        sequential, seq_registry = self._run(0)
-        pooled, pool_registry = self._run(2)
-        assert pooled.table3 == sequential.table3
-        assert pooled.ssh == sequential.ssh
-        assert pooled.brokers == sequential.brokers
-        assert pooled.secure == sequential.secure
-        assert pooled.keyreuse == sequential.keyreuse
-        assert pool_registry.snapshot() == seq_registry.snapshot()
-
-    def test_timing_stays_out_of_the_registry(self):
-        bundle, registry = self._run(2)
-        assert bundle.timing["workers"] == 2
-        assert {job["job"] for job in bundle.timing["jobs"]} == \
-            {task.job for task in analysis_tasks(
-                _synthetic_results("ntp"),
-                _synthetic_results("hitlist", salt=3))}
-        names = {entry["name"] for kind in registry.snapshot().values()
-                 for entry in kind}
-        assert not any("seconds" in name or "wall" in name
-                       for name in names), names
+            run_analysis(ntp, hitlist)
+        values = {(entry["name"], tuple(sorted(entry["labels"].items()))):
+                  entry["value"]
+                  for entry in registry.snapshot()["counters"]}
+        assert values[("analysis_jobs_total", ())] == \
+            len(analysis_tasks(ntp, hitlist))
 
     def test_task_list_order_is_fixed(self):
         ntp = _synthetic_results("ntp")
@@ -264,20 +246,12 @@ class TestParallelAnalysisDriver:
             "fig3_mqtt:hitlist", "fig3_amqp:hitlist",
         ]
 
-    def test_negative_workers_rejected(self):
-        try:
-            run_analysis(ScanResults(), ScanResults(), workers=-1)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("workers=-1 accepted")
-
     def test_secure_share_matches_security_module(self):
         from repro.analysis import security
 
         ntp = _synthetic_results("ntp")
         hitlist = _synthetic_results("hitlist", salt=3)
         with use_registry():
-            bundle = run_analysis(ntp, hitlist, workers=0)
+            bundle = run_analysis(ntp, hitlist)
         expected = security.security_gap(ntp, hitlist)
         assert bundle.security_gap() == expected

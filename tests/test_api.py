@@ -51,6 +51,16 @@ class TestConfigValidation:
                      "--protocols", "ssh,nosuch"]) == 2
         assert "unknown protocol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["study", "analyze", "ecosystem",
+                                         "amplification"])
+    def test_cli_rejects_the_removed_workers_flag(self, command, capsys):
+        """Scripts still passing ``--workers`` get argparse's exit 2,
+        not a silently sequential run."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     def test_telescope_config_validation(self):
         with pytest.raises(ValueError, match="sweep_days"):
             api.TelescopeConfig(sweep_days=0)

@@ -77,16 +77,15 @@ class TestGoldenDeterminism:
         assert single.hitlist_scan.hit_rate() == \
             pytest.approx(sharded.hitlist_scan.hit_rate())
 
-    def test_parallel_workers_match_seed_commit(self):
-        """The multiprocess backend lands on the seed's golden counts —
-        and its full report is byte-identical to the sequential sharded
-        run's (tests.parity defines and strips the permitted
-        differences)."""
+    def test_study_tables_shard_invariant(self):
+        """Every shard count lands on the seed's golden counts, and the
+        shard-invariant study tables match the one-engine run's
+        (tests.parity defines which tables those are)."""
         from tests import parity
 
-        def config(workers):
-            return _golden_config(scan_shards=4, parallel_workers=workers)
+        def config(shards):
+            return _golden_config(scan_shards=shards)
 
-        runs = parity.assert_study_parity(config, worker_counts=(2,))
+        runs = parity.assert_study_shard_parity(config)
         for study in runs.values():
             _check_counts(study.experiment)

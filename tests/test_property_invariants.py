@@ -112,7 +112,7 @@ class TestTgaProperties:
 
 
 class TestShardingProperties:
-    """The partition/merge contract the parallel backend stands on."""
+    """The partition/merge contract the sharded engine stands on."""
 
     @given(ADDRESSES, st.integers(min_value=1, max_value=64))
     def test_shard_of_stable_and_in_range(self, address, shards):
@@ -145,10 +145,26 @@ class TestShardingProperties:
     @given(st.lists(ADDRESSES, max_size=200),
            st.integers(min_value=1, max_value=8))
     def test_partition_preserves_multiset_and_routing(self, targets, shards):
-        from repro.runtime.sharding import shard_of
-        from repro.runtime.snapshot import targets_by_shard
+        """``ShardedScanEngine.run`` offers every target to exactly the
+        shard :func:`shard_of` names, in arrival order."""
+        from repro.net.simnet import Network
+        from repro.obs.metrics import use_registry
+        from repro.runtime.registry import ProbeRegistry
+        from repro.runtime.sharding import ShardedScanEngine, shard_of
 
-        partition = targets_by_shard(targets, shards)
+        with use_registry():
+            engine = ShardedScanEngine(Network(), 1, registry=ProbeRegistry(),
+                                       shards=shards)
+        partition = [[] for _ in range(shards)]
+        for index, shard in enumerate(engine.engines):
+            def record(target, results, batch=partition[index],
+                       feed=shard.feed):
+                batch.append(target)
+                return feed(target, results)
+            shard.feed = record
+        with use_registry():
+            results = engine.run(targets)
+        assert results.targets_seen == len(targets)
         assert len(partition) == shards
         rejoined = [target for batch in partition for target in batch]
         assert sorted(rejoined) == sorted(targets)

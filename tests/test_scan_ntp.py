@@ -3,8 +3,8 @@
 Covers the whole monlist data path: the picklable
 :class:`NtpControlService` world hosts, :func:`scan_ntp`'s
 readvar+monlist probe, the exposure/amplification analyses, and
-``api.amplification``'s worker-count parity (the rendered table must
-be byte-identical at 0/2/4 workers).
+``api.amplification``'s shard-count parity (the rendered table must
+be byte-identical at 1, 2 and 4 shards).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.ntp.service import (
 from repro.scan.modules.ntp import scan_ntp
 from repro.scan.result import NtpGrab, ScanResults
 from repro.world.ntpprofiles import profile_for
-from tests.parity import WORKER_COUNTS
+from tests.parity import SHARD_COUNTS
 
 PREFIX48 = 0x2001_0DB8_00AA << 80
 SCANNER = PREFIX48 + (0xFFFF << 64) + 0x5CA7
@@ -190,17 +190,21 @@ class TestAmplificationApi:
         assert result.report.tables["rendered"] == result.table
         assert result.report.tables["exposure_total"]["responsive"] == 32
 
-    def test_worker_parity_table_byte_identical(self):
-        """The tentpole's determinism pin: identical artefact at every
-        worker count."""
-        config = api.AmplificationConfig(servers=48)
-        reference = api.amplification(config)
-        for workers in WORKER_COUNTS:
-            with api.ExecutionContext(workers=workers) as ctx:
-                candidate = api.amplification(config, ctx=ctx)
-            assert candidate.table == reference.table, f"workers={workers}"
-            assert candidate.results.grabs("ntp") \
-                == reference.results.grabs("ntp"), f"workers={workers}"
+    def test_shard_parity_table_byte_identical(self):
+        """The determinism pin: identical artefact and per-server grabs
+        at every shard count, the unsharded engine included."""
+        def grabs_by_server(result):
+            return {grab.address: grab
+                    for grab in result.results.grabs("ntp")}
+
+        reference = api.amplification(
+            api.AmplificationConfig(servers=48, shards=1))
+        for shards in SHARD_COUNTS:
+            candidate = api.amplification(
+                api.AmplificationConfig(servers=48, shards=shards))
+            assert candidate.table == reference.table, f"shards={shards}"
+            assert grabs_by_server(candidate) \
+                == grabs_by_server(reference), f"shards={shards}"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

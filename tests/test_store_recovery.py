@@ -196,46 +196,6 @@ def test_resume_after_compaction_verifies_the_chain(tmp_path, clean_study):
     assert RunStore.open(run_dir).verify()["ok"]
 
 
-def test_worker_crash_then_resume_reaches_golden(tmp_path, clean_study,
-                                                 monkeypatch):
-    """A multiprocess run killed by a dying worker resumes to the clean
-    study's tables.  The parallel backend merges (and therefore writes
-    WAL records for) a batch only after *every* shard returns, so a
-    worker crash leaves no partial batch behind — the store recovers
-    exactly as it would from a sequential crash."""
-    from repro.runtime.parallel import CRASH_ENV, WorkerCrashed
-
-    from dataclasses import replace
-
-    run_dir = tmp_path / "crashed"
-    # Same shard count as the clean reference: the SSH key-reuse dedup
-    # makes the security table sensitive to *shard count* (merge order
-    # picks the key's representative grab), so golden-tables claims only
-    # hold between runs at equal shard layout.  Execution mode (workers)
-    # is what this test varies — and must not matter.
-    config = replace(small_config(run_dir), parallel_workers=2)
-    # 0:100 targets the hitlist batch: the per-sighting ntp feed path
-    # stays in-process, so only the pooled hitlist scan can die here.
-    monkeypatch.setenv(CRASH_ENV, "0:100")
-    with pytest.raises(WorkerCrashed):
-        api.study(config)
-
-    monkeypatch.delenv(CRASH_ENV)
-    store = RunStore.open(run_dir)
-    store.recover(repair=True)
-    resumed = api.resume(str(run_dir))
-    # Minus the wall-clock-only "parallel"/"parallel_analysis" tables,
-    # the resumed parallel study lands on the clean sequential study's
-    # tables exactly.
-    resumed_tables = dict(resumed.report.tables)
-    resumed_tables.pop("parallel", None)
-    resumed_tables.pop("parallel_analysis", None)
-    assert resumed_tables == clean_study["study"].report.tables
-    verify = RunStore.open(run_dir).verify()
-    assert verify["ok"], verify["problems"]
-    assert verify["cooldown_violations"] == 0
-
-
 def test_divergent_config_is_rejected(tmp_path, clean_study):
     """Resuming under a different config fails loudly, never forks."""
     import json

@@ -115,6 +115,41 @@ def test_crashed_then_resumed_equals_uninterrupted(tmp_path, stored_study):
     assert resumed.report.tables == stored.report.tables
 
 
+def test_store_with_a_recorded_worker_count_resumes(tmp_path, stored_study,
+                                                    capsys):
+    """Stores written while the study config still had a worker count
+    carry ``"parallel_workers": 2`` in meta.json.  They resume to the
+    uninterrupted run's report, and ``analyze --run-dir`` prints the
+    same tables as for a store without the field."""
+    stored, stored_dir = stored_study
+    run_dir = tmp_path / "crashed"
+    state = {"count": 0}
+
+    def hook(point, seq, acked):
+        if point == "post-append":
+            state["count"] += 1
+            if state["count"] >= 20_000:
+                raise SimulatedCrash()
+
+    with fault_injection(hook):
+        with pytest.raises(SimulatedCrash):
+            api.study(golden_config(run_dir))
+    meta_path = run_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["parallel_workers"] = 2
+    meta_path.write_text(json.dumps(meta))
+
+    resumed = api.resume(str(run_dir))
+    assert strip_store(resumed.report) == strip_store(stored.report)
+    assert resumed.report.tables == stored.report.tables
+
+    outputs = []
+    for directory in (run_dir, stored_dir):
+        assert cli.main(["analyze", "--run-dir", str(directory)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_analyze_from_store_matches_saved_results(tmp_path, stored_study):
     """The WAL's grab records reconstruct the exact same ScanResults as
     the in-memory objects serialized through the save/load path."""
